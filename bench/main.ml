@@ -602,7 +602,7 @@ let run_serve () =
   let obs = Obs.create () in
   let cache = Serve.Cache.create ~obs () in
   let key = Serve.Cache.key ~prog_hash:(Journal.hash_program prog) spec in
-  let build () = Serve.Cache.Rtl_prepared (FC.prepare ~config ~obs sys prog target) in
+  let build () = Serve.Scheduler.build_engine ~obs spec prog in
   Format.printf "campaign service golden-trace cache: rspeed, %d sites@.@." samples;
   let (_, hit0), wall_miss = time (fun () -> Serve.Cache.find_or_build cache ~key ~build) in
   let golden_miss = Obs.span_count obs "golden" in
@@ -617,20 +617,24 @@ let run_serve () =
   in
   let wall_hit = wall_hits /. float_of_int lookups in
   let golden_hit = Obs.span_count obs "golden" - golden_miss in
-  let prepared =
-    match v with Serve.Cache.Rtl_prepared p -> p | Serve.Cache.Iss_prepared _ -> assert false
-  in
   Format.printf
     "prepare (miss)  %8.3fs  (%d golden run%s)@.lookup  (hit)   %8.2fus per lookup \
      (%d golden runs over %d lookups)@."
     wall_miss golden_miss
     (if golden_miss = 1 then "" else "s")
     (1e6 *. wall_hit) golden_hit lookups;
-  let (cold_summaries, _), wall_cold = time (fun () -> FC.run ~config sys prog target) in
-  let (warm_summaries, _), wall_warm =
-    time (fun () -> FC.run ~config ~prepared sys prog target)
+  let (_, cold_results), wall_cold = time (fun () -> FC.run ~config sys prog target) in
+  (* the warm campaign goes through the cached entry's shard runner,
+     exactly as a served job's worker does *)
+  let journal = Filename.temp_file "ricv_bench_serve" ".jsonl" in
+  Sys.remove journal;
+  let warm_results, wall_warm =
+    Fun.protect ~finally:(fun () -> if Sys.file_exists journal then Sys.remove journal)
+    @@ fun () ->
+    time (fun () ->
+        v.Serve.Cache.run_shard ~shard:(1, 1) ~journal ~on_progress:(fun ~done_:_ ~total:_ -> ()))
   in
-  let identical = cold_summaries = warm_summaries in
+  let identical = cold_results = warm_results in
   Format.printf
     "campaign cold   %8.3fs@.campaign warm   %8.3fs  (prepared from cache, identical %b)@."
     wall_cold wall_warm identical;

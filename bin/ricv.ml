@@ -237,6 +237,62 @@ let asm_cmd =
     (Cmd.info "asm" ~doc:"Assemble a source file and run it.")
     Term.(const run $ file_arg $ engine_arg)
 
+(* ---- campaign driver arguments, shared by `campaign` and
+   `iss-campaign` (both engines run on the same journaled, sharded
+   driver) ---- *)
+
+let domains_arg =
+  Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
+         ~doc:"Parallelise the campaign over N OCaml domains.")
+
+let shard_arg =
+  Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
+         ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
+               the same seeded campaign are disjoint and covering; journal each \
+               one and combine with `ricv merge`.")
+
+let journal_arg =
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
+         ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
+               $(docv), bound to the campaign fingerprint.")
+
+let resume_arg =
+  Arg.(value & flag & info [ "resume" ]
+         ~doc:"Replay the verdicts already in --journal instead of re-simulating \
+               them, then continue.  A journal from a different campaign \
+               (workload, config, seed, sampled sites or shard mismatch) is \
+               rejected.")
+
+let require_journal_for_resume ~journal resume =
+  if resume && journal = None then begin
+    prerr_endline "ricv: --resume requires --journal";
+    exit 1
+  end
+
+let print_progress ~done_ ~total =
+  if done_ mod 100 = 0 || done_ = total then
+    Printf.eprintf "\r%d/%d injections...%!" done_ total
+
+(* Run a campaign under its "campaign" span; a stale journal exits 1. *)
+let drive_campaign obs f =
+  try Obs.span obs "campaign" f
+  with Fault_injection.Journal.Rejected msg ->
+    Printf.eprintf "\nricv: journal rejected: %s\n" msg;
+    exit 1
+
+(* The status-line annotations for a sharded or journaled run. *)
+let driver_notes obs ~shard ~journal ~resume =
+  (match shard with
+  | 1, 1 -> ""
+  | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
+  ^
+  match (journal, resume) with
+  | Some path, false -> Printf.sprintf "  [journal %s]" path
+  | Some path, true when Obs.enabled obs ->
+      Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
+  | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
+  | None, _ -> ""
+
 (* ---- campaign ---- *)
 
 (* All verdict tables — `campaign`, `iss-campaign`, `merge` and the
@@ -257,27 +313,6 @@ let campaign_cmd =
   let samples_arg =
     Arg.(value & opt (positive_int "sample size") 250 & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Number of injection sites to sample.")
-  in
-  let domains_arg =
-    Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Parallelise the campaign over N OCaml domains.")
-  in
-  let shard_arg =
-    Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
-           ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
-                 the same seeded campaign are disjoint and covering; journal each \
-                 one and combine with `ricv merge`.")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-           ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
-                 $(docv), bound to the campaign fingerprint.")
-  in
-  let resume_arg =
-    Arg.(value & flag & info [ "resume" ]
-           ~doc:"Replay the verdicts already in --journal instead of re-simulating \
-                 them, then continue.  A journal from a different campaign \
-                 (workload, config, seed, netlist or shard mismatch) is rejected.")
   in
   let no_trim_arg =
     Arg.(value & flag & info [ "no-trim" ]
@@ -325,10 +360,7 @@ let campaign_cmd =
       no_static no_event no_batch no_tail hang_factor seed gate trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
     let params = system_params ~gate:(gate_enabled gate) in
-    if resume && journal = None then begin
-      prerr_endline "ricv: --resume requires --journal";
-      exit 1
-    end;
+    require_journal_for_resume ~journal resume;
     let config =
       { Fault_injection.Campaign.default_config with
         Fault_injection.Campaign.sample_size = Some samples;
@@ -351,24 +383,12 @@ let campaign_cmd =
     in
     let obs, finish_obs = make_obs ~trace ~metrics in
     let t0 = Unix.gettimeofday () in
-    let on_progress ~done_ ~total =
-      if done_ mod 100 = 0 || done_ = total then
-        Printf.eprintf "\r%d/%d injections...%!" done_ total
-    in
     let summaries, _ =
-      try
-        Obs.span obs "campaign" (fun () ->
-            if domains > 1 then
-              Fault_injection.Campaign.run_parallel ~config ~obs ~domains ~on_progress
-                ?journal ~resume
-                (fun () -> Leon3.System.create ~params ())
-                prog target
-            else
-              Fault_injection.Campaign.run ~config ~obs ~on_progress ?journal ~resume
-                (Leon3.System.create ~params ()) prog target)
-      with Fault_injection.Journal.Rejected msg ->
-        Printf.eprintf "\nricv: journal rejected: %s\n" msg;
-        exit 1
+      drive_campaign obs (fun () ->
+          Fault_injection.Campaign.run_parallel ~config ~obs ~domains
+            ~on_progress:print_progress ?journal ~resume
+            (fun () -> Leon3.System.create ~params ())
+            prog target)
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     prerr_newline ();
@@ -385,19 +405,11 @@ let campaign_cmd =
     in
     Printf.printf
       "%d injections in %.1fs: %d prefiltered (%.1f%%), %d cone-pruned, %d collapsed, \
-       %d early-exited%s%s%s%s%s%s\n"
+       %d early-exited%s%s%s%s%s\n"
       injections elapsed skipped
       (if injections = 0 then 0. else 100. *. float_of_int skipped /. float_of_int injections)
       pruned collapsed early
-      (match shard with
-      | 1, 1 -> ""
-      | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
-      (match (journal, resume) with
-      | Some path, false -> Printf.sprintf "  [journal %s]" path
-      | Some path, true when Obs.enabled obs ->
-          Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
-      | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
-      | None, _ -> "")
+      (driver_notes obs ~shard ~journal ~resume)
       (if config.Fault_injection.Campaign.trim then "" else "  [trimming disabled]")
       (if config.Fault_injection.Campaign.static then "" else "  [static analysis disabled]")
       (if config.Fault_injection.Campaign.event then ""
@@ -428,27 +440,6 @@ let iss_campaign_cmd =
     Arg.(value & opt (positive_int "sample size") 400 & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Number of injection sites to sample per fault model.")
   in
-  let domains_arg =
-    Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Parallelise the campaign over N OCaml domains.")
-  in
-  let shard_arg =
-    Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
-           ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
-                 the same seeded campaign are disjoint and covering; journal each \
-                 one and combine with `ricv merge`.")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-           ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
-                 $(docv), bound to the campaign fingerprint.")
-  in
-  let resume_arg =
-    Arg.(value & flag & info [ "resume" ]
-           ~doc:"Replay the verdicts already in --journal instead of re-simulating \
-                 them, then continue.  A journal from a different campaign \
-                 (workload, config, seed or shard mismatch) is rejected.")
-  in
   let hang_arg =
     Arg.(value & opt (positive_int "hang factor") 4 & info [ "hang-factor" ] ~docv:"K"
            ~doc:"Instruction-budget watchdog: K times the golden run's dynamic \
@@ -460,10 +451,7 @@ let iss_campaign_cmd =
   let run name iterations dataset samples domains shard journal resume hang_factor seed
       trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
-    if resume && journal = None then begin
-      prerr_endline "ricv: --resume requires --journal";
-      exit 1
-    end;
+    require_journal_for_resume ~journal resume;
     let config =
       { Fault_injection.Iss_campaign.default_config with
         Fault_injection.Iss_campaign.samples_per_model = samples;
@@ -473,22 +461,10 @@ let iss_campaign_cmd =
     in
     let obs, finish_obs = make_obs ~trace ~metrics in
     let t0 = Unix.gettimeofday () in
-    let on_progress ~done_ ~total =
-      if done_ mod 100 = 0 || done_ = total then
-        Printf.eprintf "\r%d/%d injections...%!" done_ total
-    in
     let summaries, _ =
-      try
-        Obs.span obs "campaign" (fun () ->
-            if domains > 1 then
-              Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains
-                ~on_progress ?journal ~resume prog
-            else
-              Fault_injection.Iss_campaign.run ~config ~obs ~on_progress ?journal
-                ~resume prog)
-      with Fault_injection.Journal.Rejected msg ->
-        Printf.eprintf "\nricv: journal rejected: %s\n" msg;
-        exit 1
+      drive_campaign obs (fun () ->
+          Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains
+            ~on_progress:print_progress ?journal ~resume prog)
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     prerr_newline ();
@@ -498,17 +474,9 @@ let iss_campaign_cmd =
         (fun acc (_, s) -> acc + s.Fault_injection.Campaign.injections)
         0 summaries
     in
-    Printf.printf "%d ISS injections in %.1fs (latencies in instructions)%s%s\n"
+    Printf.printf "%d ISS injections in %.1fs (latencies in instructions)%s\n"
       injections elapsed
-      (match shard with
-      | 1, 1 -> ""
-      | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
-      (match (journal, resume) with
-      | Some path, false -> Printf.sprintf "  [journal %s]" path
-      | Some path, true when Obs.enabled obs ->
-          Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
-      | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
-      | None, _ -> "");
+      (driver_notes obs ~shard ~journal ~resume);
     finish_obs ()
   in
   Cmd.v

@@ -459,21 +459,13 @@ let sample_sites ~obs ~config core target =
   | Some k when k < Array.length pool -> Stats.Rng.sample_without_replacement rng k pool
   | Some _ | None -> pool
 
-(* ---- sharding, fingerprints and journal plumbing ----
+(* ---- tasks and fingerprints ----
 
    A campaign is a fixed global task list: model-major over the full
-   sampled site array, exactly the sequential engine's historical
-   order.  Shard I/N executes the sites whose sample index is
-   congruent to I-1 mod N — same seed therefore gives disjoint,
-   covering shards — and a journal records each finished verdict under
-   its global site index, so kill/resume and shard/merge both
-   reassemble the unsharded run byte-identically. *)
-
-let validate_shard config =
-  let i, n = config.shard in
-  if n < 1 || i < 1 || i > n then
-    invalid_arg (Printf.sprintf "Campaign: shard index out of range: %d/%d" i n);
-  (i, n)
+   sampled site array.  {!Driver} shards it, journals each finished
+   verdict under its global site index and replays journals, so
+   kill/resume and shard/merge both reassemble the unsharded run
+   byte-identically. *)
 
 let fingerprint ~config prog target sample =
   { Journal.workload = prog.Sparc.Asm.name;
@@ -490,35 +482,6 @@ let fingerprint ~config prog target sample =
     seed = config.seed;
     total_sites = Array.length sample;
     shard = config.shard }
-
-(* Returns the (optional) writer, a replay lookup keyed by
-   (model, global site index), and an idempotent close. *)
-let open_journal ~journal ~resume fp =
-  match journal with
-  | None -> (None, (fun _ ~index:_ -> None), fun () -> ())
-  | Some path ->
-      let w, entries =
-        if resume then
-          match Journal.open_resume path fp with
-          | Ok (w, entries) -> (w, entries)
-          | Error msg -> raise (Journal.Rejected msg)
-        else (Journal.create path fp, [])
-      in
-      let tbl = Hashtbl.create ((2 * List.length entries) + 1) in
-      List.iter
-        (fun e ->
-          Hashtbl.replace tbl (e.Journal.result.model, e.Journal.index) e.Journal.result)
-        entries;
-      ( Some w,
-        (fun model ~index -> Hashtbl.find_opt tbl (model, index)),
-        fun () -> Journal.close w )
-
-let replay_check ~index (site : Injection.site) r =
-  if r.site_name <> site.Injection.site_name then
-    raise
-      (Journal.Rejected
-         (Printf.sprintf "journal verdict at site %d names %S, campaign expects %S"
-            index r.site_name site.Injection.site_name))
 
 let build_tasks config sample =
   Array.concat
@@ -600,15 +563,25 @@ type prepared = {
   p_machinery : machinery;
 }
 
-let prepare ?(config = default_config) ?(obs = Obs.null) sys prog target =
-  ignore (validate_shard config);
+(* A campaign borrows the caller's system: telemetry goes to the
+   campaign's collector and the observed-cone hang detector follows
+   [config.tail] (with it off the A/B reverts to the legacy full-state
+   comparison).  [release] restores both defaults, on every exit. *)
+let attach ~config sys obs =
   Leon3.System.set_obs sys obs;
-  Leon3.System.set_hang_cone sys config.tail;
+  Leon3.System.set_hang_cone sys config.tail
+
+let release sys =
+  Leon3.System.set_obs sys Obs.null;
+  Leon3.System.set_hang_cone sys true
+
+let prepare ?(config = default_config) ?(obs = Obs.null) sys prog target =
+  ignore (Driver.validate_shard ~who:"Campaign" config.shard);
+  attach ~config sys obs;
+  Fun.protect ~finally:(fun () -> release sys) @@ fun () ->
   let sample = sample_sites ~obs ~config (Leon3.System.core sys) target in
   let tasks = build_tasks config sample in
   let m = build_machinery ~obs ~config sys prog tasks in
-  Leon3.System.set_obs sys Obs.null;
-  Leon3.System.set_hang_cone sys true;
   { p_fingerprint =
       { (fingerprint ~config prog target sample) with Journal.shard = (1, 1) };
     p_machinery = m }
@@ -838,336 +811,110 @@ let shard_summaries config all =
     (fun model -> (model, summarize (List.filter (fun r -> r.model = model) all)))
     config.models
 
-let collect_results tasks exec_ids results =
-  Array.to_list
-    (Array.map
-       (fun ti ->
-         match results.(ti) with
-         | Some r -> r
-         | None ->
-             let model, site = tasks.(ti) in
-             failwith
-               (Printf.sprintf "Campaign: missing result for task %d (site %s, model %s)"
-                  ti site.Injection.site_name (C.fault_model_name model)))
-       exec_ids)
-
-let run ?(config = default_config) ?(obs = Obs.null) ?on_progress ?journal
-    ?(resume = false) ?prepared sys prog target =
-  let shard_i, shard_n = validate_shard config in
-  Leon3.System.set_obs sys obs;
-  (* the observed-cone hang detector is part of the watchdog-tail
-     machinery: with [tail] off the A/B reverts to the legacy
-     full-state (inert) comparison *)
-  Leon3.System.set_hang_cone sys config.tail;
-  let core = Leon3.System.core sys in
-  let sample = sample_sites ~obs ~config core target in
-  let fp = fingerprint ~config prog target sample in
-  let supplied = check_prepared ~who:"Campaign.run" fp prepared in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
-  let nsites = Array.length sample in
-  let tasks = build_tasks config sample in
-  let exec_ids =
-    let ids = ref [] in
-    Array.iteri
-      (fun ti _ -> if ti mod nsites mod shard_n = shard_i - 1 then ids := ti :: !ids)
-      tasks;
-    Array.of_list (List.rev !ids)
+(* The RTL engine's work for {!Driver}.  Batchable tasks fold into
+   ≤ max_lanes-wide PPSFP passes and the rest stay single-task; one
+   unit is one queue claim, so a whole batch runs on one domain's
+   system.  Collapse followers wait for the in-order finish pass: a
+   follower copies its leader's verdict, and leaders precede their
+   followers in task order, so by then every in-shard leader is
+   resolved; a leader whose member sits in another shard is simulated
+   there once, on the caller's system. *)
+let work ~config m prog tasks =
+  let single ti sys obs =
+    let model, site = tasks.(ti) in
+    let r =
+      match m.m_plans.(ti) with
+      | T_pruned ->
+          let r = pruned_result ~inject_cycle:config.inject_cycle site model in
+          record_static obs m.m_golden r;
+          r
+      | T_direct ->
+          run_one ~obs ?plan:m.m_plan sys prog m.m_golden
+            ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
+            ~compare_reads:config.compare_reads site model
+      | T_lead _ -> simulate_lead ~obs ~config m sys prog tasks ti
+      | T_follow _ -> assert false (* left to [finish] *)
+    in
+    [ (ti, r) ]
   in
-  let machinery =
-    match supplied with
-    | Some m -> Lazy.from_val m
-    | None -> lazy (build_machinery ~obs ~config sys prog tasks)
+  let batch tis sys obs =
+    let tis = Array.of_list tis in
+    let rs = run_batch_chunk ~obs ~config m sys prog tasks tis in
+    List.combine (Array.to_list tis) (Array.to_list rs)
   in
-  let results = Array.make (Array.length tasks) None in
-  (* Bit-parallel pre-pass: the batchable remainder of the shard runs
-     in ≤ max_lanes-wide PPSFP passes up front; the walk below emits
-     (and journals) the stashed verdicts in its usual order, so
-     journal layout and result order are unchanged. *)
-  let batch_stash = Hashtbl.create 64 in
-  (if config.batch then begin
-     let pending =
-       List.filter
-         (fun ti ->
-           let model, _ = tasks.(ti) in
-           lookup model ~index:(ti mod nsites) = None)
-         (Array.to_list exec_ids)
-     in
-     if pending <> [] then begin
-       let m = Lazy.force machinery in
-       List.iter
-         (fun chunk ->
-           let tis = Array.of_list chunk in
-           let rs = run_batch_chunk ~obs ~config m sys prog tasks tis in
-           Array.iteri (fun k r -> Hashtbl.replace batch_stash tis.(k) r) rs)
-         (chunk_list C.max_lanes (List.filter (batchable ~config m tasks) pending))
-     end
-   end);
   let orphans = Hashtbl.create 8 in
-  let total = Array.length exec_ids in
-  let done_ = ref 0 in
-  let progress () =
-    incr done_;
-    match on_progress with Some f -> f ~done_:!done_ ~total | None -> ()
-  in
-  Array.iter
-    (fun ti ->
-      let model, site = tasks.(ti) in
-      let index = ti mod nsites in
-      let r =
-        match lookup model ~index with
-        | Some r ->
-            replay_check ~index site r;
-            Obs.incr obs "journal.replayed";
-            r
-        | None ->
-            let m = Lazy.force machinery in
-            let r =
-              match Hashtbl.find_opt batch_stash ti with
-              | Some r -> r
-              | None -> (
+  { Driver.units =
+      (fun pending ->
+        let todo =
+          List.filter
+            (fun ti ->
               match m.m_plans.(ti) with
-              | T_direct ->
-                  run_one ~obs ?plan:m.m_plan sys prog m.m_golden
-                    ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
-                    ~compare_reads:config.compare_reads site model
-              | T_pruned ->
-                  let r = pruned_result ~inject_cycle:config.inject_cycle site model in
-                  record_static obs m.m_golden r;
-                  r
-              | T_lead _ -> simulate_lead ~obs ~config m sys prog tasks ti
-              | T_follow j ->
-                  let lead =
-                    match results.(j) with
-                    | Some lead -> lead
-                    | None -> (
-                        (* the leader's member belongs to another shard:
-                           simulate its representative once, locally *)
-                        match Hashtbl.find_opt orphans j with
-                        | Some lead -> lead
-                        | None ->
-                            let lead = simulate_lead ~obs ~config m sys prog tasks j in
-                            Hashtbl.add orphans j lead;
-                            lead)
-                  in
-                  let r =
-                    follower_result ~inject_cycle:config.inject_cycle site model lead
-                  in
-                  record_static obs m.m_golden r;
-                  r)
+              | T_follow _ -> false
+              | T_direct | T_pruned | T_lead _ -> true)
+            pending
+        in
+        let batched, singles = List.partition (batchable ~config m tasks) todo in
+        List.map batch (chunk_list C.max_lanes batched) @ List.map single singles);
+    finish =
+      (fun sys obs ~resolved ti ->
+        match m.m_plans.(ti) with
+        | T_follow j ->
+            let lead =
+              match resolved j with
+              | Some lead -> lead
+              | None -> (
+                  match Hashtbl.find_opt orphans j with
+                  | Some lead -> lead
+                  | None ->
+                      let lead = simulate_lead ~obs ~config m sys prog tasks j in
+                      Hashtbl.add orphans j lead;
+                      lead)
             in
-            (match writer with Some w -> Journal.append w ~index r | None -> ());
-            r
-      in
-      results.(ti) <- Some r;
-      progress ())
-    exec_ids;
-  Leon3.System.set_obs sys Obs.null;
-  Leon3.System.set_hang_cone sys true;
-  let all = collect_results tasks exec_ids results in
+            let model, site = tasks.(ti) in
+            let r = follower_result ~inject_cycle:config.inject_cycle site model lead in
+            record_static obs m.m_golden r;
+            Some r
+        | T_direct | T_pruned | T_lead _ -> None) }
+
+(* Each domain owns a private RTL system; injection sites carry node
+   ids, which are valid across systems because circuit construction
+   is deterministic (same build ⇒ same numbering) — the same property
+   lets every domain share the golden coverage, checkpoints, trace and
+   replay plan captured on the caller's system, all immutable after
+   construction.  The task order is fixed up front, so results do not
+   depend on the domain count. *)
+let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
+    ?on_progress ?journal ?resume ?prepared sys_factory prog target =
+  let sample scratch obs =
+    let sample = sample_sites ~obs ~config (Leon3.System.core scratch) target in
+    let fp = fingerprint ~config prog target sample in
+    let supplied = check_prepared ~who:"Campaign" fp prepared in
+    let tasks = build_tasks config sample in
+    { Driver.fingerprint = fp;
+      site_names = Array.map (fun s -> s.Injection.site_name) sample;
+      models = config.models;
+      work =
+        (fun () ->
+          let m =
+            match supplied with
+            | Some m -> m
+            | None -> build_machinery ~obs ~config scratch prog tasks
+          in
+          work ~config m prog tasks) }
+  in
+  let all =
+    Driver.run ~obs ~domains ?on_progress ?journal ?resume
+      { Driver.who = "Campaign"; shard = config.shard; context = sys_factory;
+        attach = attach ~config; release; sample }
+  in
   (shard_summaries config all, all)
+
+let run ?config ?obs ?on_progress ?journal ?resume ?prepared sys prog target =
+  run_parallel ?config ?obs ~domains:1 ?on_progress ?journal ?resume ?prepared
+    (fun () -> sys)
+    prog target
 
 let pf_percent s = 100. *. s.pf
-
-(* Parallel campaigns: the runs are independent, so they shard across
-   domains.  Each domain owns a private RTL system; injection sites
-   carry node ids, which are valid across systems because circuit
-   construction is deterministic (same build ⇒ same numbering) — the
-   same property lets every domain share the golden coverage and
-   checkpoints captured on the scratch system.  The task order is
-   fixed up front, so results are identical to the sequential
-   engine's. *)
-let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
-    ?on_progress ?journal ?(resume = false) ?prepared sys_factory prog target =
-  let shard_i, shard_n = validate_shard config in
-  let domains = max 1 domains in
-  let scratch = sys_factory () in
-  Leon3.System.set_obs scratch obs;
-  Leon3.System.set_hang_cone scratch config.tail;
-  let sample = sample_sites ~obs ~config (Leon3.System.core scratch) target in
-  let fp = fingerprint ~config prog target sample in
-  let supplied = check_prepared ~who:"Campaign.run_parallel" fp prepared in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
-  let nsites = Array.length sample in
-  let tasks = build_tasks config sample in
-  let exec_ids =
-    let ids = ref [] in
-    Array.iteri
-      (fun ti _ -> if ti mod nsites mod shard_n = shard_i - 1 then ids := ti :: !ids)
-      tasks;
-    Array.of_list (List.rev !ids)
-  in
-  let results = Array.make (Array.length tasks) None in
-  let total = Array.length exec_ids in
-  let completed = Atomic.make 0 in
-  let progress () =
-    match on_progress with
-    | Some f -> f ~done_:(Atomic.fetch_and_add completed 1 + 1) ~total
-    | None -> ()
-  in
-  let journal_append ~index r =
-    match writer with Some w -> Journal.append w ~index r | None -> ()
-  in
-  (* Journaled verdicts replay before any domain spawns, so their
-     result slots are read-only by the time workers run. *)
-  Array.iter
-    (fun ti ->
-      let model, site = tasks.(ti) in
-      let index = ti mod nsites in
-      match lookup model ~index with
-      | Some r ->
-          replay_check ~index site r;
-          Obs.incr obs "journal.replayed";
-          results.(ti) <- Some r;
-          progress ()
-      | None -> ())
-    exec_ids;
-  let needs_sim = Array.exists (fun ti -> results.(ti) = None) exec_ids in
-  (if needs_sim then begin
-     (* graph, plan and trace are immutable after construction, so all
-        domains share them read-only *)
-     let m =
-       match supplied with
-       | Some m -> m
-       | None -> build_machinery ~obs ~config scratch prog tasks
-     in
-     let todo =
-       List.filter
-         (fun ti ->
-           results.(ti) = None
-           && match m.m_plans.(ti) with T_follow _ -> false | _ -> true)
-         (Array.to_list exec_ids)
-     in
-     (* Work units: batchable tasks fold into ≤ max_lanes-wide PPSFP
-        passes, the rest stay single-task; one unit is one queue
-        claim, so a whole batch runs on one domain's system. *)
-     let units =
-       let batched, scalar = List.partition (batchable ~config m tasks) todo in
-       Array.of_list
-         (List.map
-            (fun c -> `Batch (Array.of_list c))
-            (chunk_list C.max_lanes batched)
-         @ List.map (fun ti -> `One ti) scalar)
-     in
-     let next = Atomic.make 0 in
-     let aborted = Atomic.make false in
-     let errors = Array.make domains None in
-     let process sys fork ti =
-       let model, site = tasks.(ti) in
-       let r =
-         match m.m_plans.(ti) with
-         | T_pruned ->
-             let r = pruned_result ~inject_cycle:config.inject_cycle site model in
-             record_static fork m.m_golden r;
-             r
-         | T_direct ->
-             run_one ~obs:fork ?plan:m.m_plan sys prog m.m_golden
-               ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
-               ~compare_reads:config.compare_reads site model
-         | T_lead _ -> simulate_lead ~obs:fork ~config m sys prog tasks ti
-         | T_follow _ -> assert false (* filtered out of [todo] *)
-       in
-       journal_append ~index:(ti mod nsites) r;
-       results.(ti) <- Some r;
-       progress ()
-     in
-     let process_unit sys fork = function
-       | `One ti -> process sys fork ti
-       | `Batch tis ->
-           let rs = run_batch_chunk ~obs:fork ~config m sys prog tasks tis in
-           Array.iteri
-             (fun k r ->
-               let ti = tis.(k) in
-               journal_append ~index:(ti mod nsites) r;
-               results.(ti) <- Some r;
-               progress ())
-             rs
-     in
-     (* Every worker (the scratch domain included) aggregates into a
-        private fork, so the hot path never contends; the forks merge
-        into [obs] in spawn order at join, which keeps totals
-        deterministic for any domain count.  A worker that raises
-        records the exception and flips [aborted] so its peers stop at
-        the next task boundary instead of burning through the queue. *)
-     let worker wi sys fork =
-       Leon3.System.set_obs sys fork;
-       Leon3.System.set_hang_cone sys config.tail;
-       let rec go () =
-         if not (Atomic.get aborted) then begin
-           let k = Atomic.fetch_and_add next 1 in
-           if k < Array.length units then begin
-             process_unit sys fork units.(k);
-             go ()
-           end
-         end
-       in
-       try go ()
-       with e ->
-         errors.(wi) <- Some (e, Printexc.get_raw_backtrace ());
-         Atomic.set aborted true
-     in
-     let forks = Array.init domains (fun _ -> Obs.fork obs) in
-     let spawned =
-       List.init (domains - 1) (fun i ->
-           Domain.spawn (fun () -> worker (i + 1) (sys_factory ()) forks.(i + 1)))
-     in
-     worker 0 scratch forks.(0);
-     List.iter Domain.join spawned;
-     Array.iter (fun fork -> Obs.merge ~into:obs fork) forks;
-     (* A failed worker re-raises its original exception, with its
-        backtrace, after every domain has joined and its fork has been
-        merged — nothing is masked behind a missing-result failure, and
-        every verdict classified before the abort is already
-        journaled. *)
-     Array.iter
-       (function
-         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-         | None -> ())
-       errors;
-     (* Collapse followers copy their leader's verdict; leaders always
-        precede followers in task order, so in-shard leaders are
-        already filled, and a leader whose member sits in another
-        shard is simulated once here, on the scratch system. *)
-     Leon3.System.set_obs scratch obs;
-     let orphans = Hashtbl.create 8 in
-     Array.iter
-       (fun ti ->
-         match m.m_plans.(ti) with
-         | T_follow j when results.(ti) = None ->
-             let lead =
-               match results.(j) with
-               | Some lead -> lead
-               | None -> (
-                   match Hashtbl.find_opt orphans j with
-                   | Some lead -> lead
-                   | None ->
-                       (match m.m_plans.(j) with
-                       | T_lead _ -> ()
-                       | T_direct | T_pruned | T_follow _ ->
-                           let lmodel, lsite = tasks.(j) in
-                           failwith
-                             (Printf.sprintf
-                                "run_parallel: missing leader result for task %d \
-                                 (site %s, model %s)"
-                                j lsite.Injection.site_name
-                                (C.fault_model_name lmodel)));
-                       let lead = simulate_lead ~obs ~config m scratch prog tasks j in
-                       Hashtbl.add orphans j lead;
-                       lead)
-             in
-             let model, site = tasks.(ti) in
-             let r = follower_result ~inject_cycle:config.inject_cycle site model lead in
-             record_static obs m.m_golden r;
-             journal_append ~index:(ti mod nsites) r;
-             results.(ti) <- Some r;
-             progress ()
-         | T_follow _ | T_direct | T_pruned | T_lead _ -> ())
-       exec_ids
-   end);
-  Leon3.System.set_obs scratch Obs.null;
-  let all = collect_results tasks exec_ids results in
-  (shard_summaries config all, all)
 
 (* Transient study (the paper's stated future work): single-event
    upsets — one-cycle bit inversions at uniformly random instants of
@@ -1180,6 +927,7 @@ let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
 let run_transient ?(sample = 400) ?(seed = 7) ?(trim = true) ?(event = true)
     ?checkpoint_every ?(obs = Obs.null) sys prog target =
   Leon3.System.set_obs sys obs;
+  Fun.protect ~finally:(fun () -> Leon3.System.set_obs sys Obs.null) @@ fun () ->
   let core = Leon3.System.core sys in
   let checkpoint_every =
     if trim then Some (Option.value checkpoint_every ~default:default_checkpoint_interval)
@@ -1211,5 +959,4 @@ let run_transient ?(sample = 400) ?(seed = 7) ?(trim = true) ?(event = true)
            run_one ~obs ?plan sys prog golden ~inject_cycle ~duration:1 site C.Bit_flip)
          chosen)
   in
-  Leon3.System.set_obs sys Obs.null;
   summarize results

@@ -31,8 +31,8 @@
     [simulated], [cycles.saved], plus [rtl.cycles] /
     [rtl.instructions] from the attached system) and a
     [detect_latency] histogram.  {!run_parallel} gives each domain a
-    private {!Obs.fork} and merges them in spawn order, so counter
-    totals are identical for any domain count. *)
+    private {!Obs.fork} and merges them in spawn order ({!Driver.run}),
+    so counter totals are identical for any domain count. *)
 
 module C = Rtl.Circuit
 module Bus_event = Sparc.Bus_event
@@ -288,15 +288,16 @@ val run :
     to [config.shard]).  Returns per-model summaries plus every
     individual result, in model-major task order.
 
-    [journal] appends every classified verdict to a crash-safe JSONL
-    file ({!Journal}), fsync'd in batches, headed by the campaign
-    fingerprint.  With [resume] (requires [journal]) an existing
-    journal is validated against the fingerprint — mismatch raises
-    {!Journal.Rejected} — and its verdicts are replayed byte-identically
-    into the results instead of being re-simulated (counted on [obs] as
-    [journal.replayed]); only the remainder is executed and appended.
-    If every verdict is already journaled, the golden run and static
-    analysis are skipped entirely.
+    [run] is {!run_parallel} at one domain on the caller's system
+    ([run_parallel ~domains:1 (fun () -> sys)]): it spawns no domain,
+    so the process may still [fork] afterwards.  Sharding, [journal],
+    [resume] and [on_progress] are the shared campaign driver's
+    ({!Driver.run}): every verdict is journaled crash-safely, a resumed
+    journal replays byte-identically (counted as [journal.replayed])
+    and a stale one raises {!Journal.Rejected}.  If the journal already
+    holds the whole shard, the golden run and static analysis are
+    skipped entirely.  The system's telemetry collector and hang-cone
+    setting are restored on every exit, exceptions included.
 
     [prepared] supplies a {!prepare}d golden run + static analysis
     instead of recomputing them.  The preparation's fingerprint is
@@ -319,19 +320,14 @@ val run_parallel :
   Sparc.Asm.program ->
   Injection.target ->
   (C.fault_model * summary) list * run_result list
-(** Like {!run}, sharded over [domains] OCaml domains (default 4).
-    The factory is called once per domain to build a private RTL
-    system; golden coverage and checkpoints are shared read-only, and
-    results are bit-identical to the sequential engine's — including
-    under [config.shard], [journal] and [resume], which behave exactly
-    as in {!run}.  [on_progress] is invoked after every completed
-    injection with an atomically increasing [done_] (callers must
-    tolerate concurrent invocation from worker domains); the final
-    call reports [done_ = total], the shard's task count.  A worker
-    domain that raises aborts its peers at the next task boundary and,
-    after every domain has joined and its telemetry fork merged, the
-    original exception is re-raised with the worker's backtrace;
-    verdicts classified before the abort are already journaled. *)
+(** Like {!run}, over [domains] OCaml domains (default 4).  The
+    factory is called once for the caller's scratch system and once
+    inside each further domain; golden coverage, checkpoints, trace and
+    replay plan are shared read-only, and verdicts, summaries and
+    journal records are identical for every domain count.  Work units
+    are PPSFP batch chunks and single injections; collapse followers
+    resolve in an in-order pass after the fan-out.  Progress, telemetry
+    forks and worker-exception semantics are {!Driver.run}'s. *)
 
 val run_transient :
   ?sample:int ->

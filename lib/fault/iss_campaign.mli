@@ -11,7 +11,7 @@
     codes, and an instruction budget of [hang_factor] times the golden
     run is the watchdog.
 
-    Journaling, sharding and resume reuse {!Journal} unchanged: the
+    Journaling, sharding and resume are the shared {!Driver}'s: the
     task list is flat (the journal site index {e is} the task index),
     every verdict is recorded under the RTL [bit-flip] model, and the
     ISS model class is carried by the site-name prefix ([iss.reg[…]],
@@ -148,15 +148,17 @@ val run :
   ?prepared:prepared ->
   Sparc.Asm.program ->
   (model * Campaign.summary) list * run_result list
-(** Full sequential campaign: golden run, site sampling, one faulty run
-    per sampled site (restricted to [config.shard]).  [journal] /
-    [resume] behave exactly as in {!Campaign.run} — journaled verdicts
-    replay byte-identically (counted as [journal.replayed] on [obs]), a
-    stale journal raises {!Journal.Rejected}.  [prepared] skips the
-    golden run and sampling, reusing a {!prepare} result; it must have
-    been built from the same program and config (shard aside) or the
-    call raises [Invalid_argument].  Returns per-model summaries plus
-    every verdict in model-major site order. *)
+(** Full campaign: golden run, site sampling, one faulty run per
+    sampled site (restricted to [config.shard]).  [run] is
+    {!run_parallel} at one domain and spawns none.  Sharding,
+    [journal], [resume] and [on_progress] are the shared campaign
+    driver's ({!Driver.run}), exactly as for {!Campaign.run}: journaled
+    verdicts replay byte-identically (counted as [journal.replayed] on
+    [obs]) and a stale journal raises {!Journal.Rejected}.  [prepared]
+    skips the golden run and sampling, reusing a {!prepare} result; it
+    must have been built from the same program and config (shard
+    aside) or the call raises [Invalid_argument].  Returns per-model
+    summaries plus every verdict in model-major site order. *)
 
 val run_parallel :
   ?config:config ->
@@ -168,7 +170,7 @@ val run_parallel :
   ?prepared:prepared ->
   Sparc.Asm.program ->
   (model * Campaign.summary) list * run_result list
-(** Like {!run}, over [domains] OCaml domains (default 4).  Verdicts,
-    summaries and journal contents are byte-identical to the sequential
-    engine's for any domain count; telemetry forks merge in spawn
+(** Like {!run}, over [domains] OCaml domains (default 4), one faulty
+    run per work unit.  Verdicts, summaries and journal records are
+    identical for any domain count; telemetry forks merge in spawn
     order. *)

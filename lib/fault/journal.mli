@@ -9,8 +9,8 @@
     batches, so a crash, OOM or pre-empted machine loses at most the
     last unsynced batch, never finished work.
 
-    {!Campaign.run}/{!Campaign.run_parallel} write and replay journals
-    through this module; {!merge} combines the disjoint shard journals
+    The campaign driver ({!Driver.run}) writes and replays journals
+    through this module for every engine; {!merge} combines the disjoint shard journals
     of one campaign into the verdict list the unsharded run would have
     produced, rejecting journals whose fingerprints disagree. *)
 

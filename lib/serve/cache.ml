@@ -8,14 +8,18 @@
 
 module Json = Obs.Json
 
-type value =
-  | Rtl_prepared of Fault_injection.Campaign.prepared
-  | Iss_prepared of Fault_injection.Iss_campaign.prepared
+type entry = {
+  run_shard :
+    shard:int * int ->
+    journal:string ->
+    on_progress:(done_:int -> total:int -> unit) ->
+    Fault_injection.Journal.run_result list;
+}
 
 type t = {
   capacity : int;
   obs : Obs.t;
-  mutable entries : (string * value) list;  (* most recently used first *)
+  mutable entries : (string * entry) list;  (* most recently used first *)
   mutable hits : int;
   mutable misses : int;
 }

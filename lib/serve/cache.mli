@@ -1,17 +1,27 @@
 (** Content-addressed golden-trace + static-analysis cache.
 
-    Stores {!Fault_injection.Campaign.prepared} /
-    {!Fault_injection.Iss_campaign.prepared} values under a canonical
-    key derived from every spec field the preparation depends on.  A
-    hit means a repeat (or concurrent shard of a) submission runs no
-    golden simulation and no static analysis; the consuming campaign
-    still validates the preparation's fingerprint against its own, so
-    a key collision cannot splice a foreign golden trace in.  LRU
-    bounded; single-threaded (the daemon's event loop owns it). *)
+    Stores one prepared campaign per entry — a
+    {!Fault_injection.Campaign.prepared} or
+    {!Fault_injection.Iss_campaign.prepared}, held by the entry's
+    [run_shard] closure — under a canonical key derived from every
+    spec field the preparation depends on.  A hit means a repeat (or
+    concurrent shard of a) submission runs no golden simulation and no
+    static analysis; the consuming campaign still validates the
+    preparation's fingerprint against its own, so a key collision
+    cannot splice a foreign golden trace in.  LRU bounded;
+    single-threaded (the daemon's event loop owns it). *)
 
-type value =
-  | Rtl_prepared of Fault_injection.Campaign.prepared
-  | Iss_prepared of Fault_injection.Iss_campaign.prepared
+type entry = {
+  run_shard :
+    shard:int * int ->
+    journal:string ->
+    on_progress:(done_:int -> total:int -> unit) ->
+    Fault_injection.Journal.run_result list;
+      (** Run one shard of the prepared campaign on a fresh engine
+          context, journaling to (and resuming from) [journal];
+          returns the shard's verdicts.  Raises
+          {!Fault_injection.Journal.Rejected} on a stale journal. *)
+}
 
 type t
 
@@ -26,7 +36,7 @@ val key : prog_hash:int -> Protocol.spec -> string
     seed and hang factor.  The shard count is deliberately absent —
     preparations are shard-independent. *)
 
-val find_or_build : t -> key:string -> build:(unit -> value) -> value * bool
+val find_or_build : t -> key:string -> build:(unit -> entry) -> entry * bool
 (** Return the cached value and [true], or [build ()], remember it
     and return [false].  [build]'s exceptions propagate and cache
     nothing. *)

@@ -26,20 +26,6 @@ module Iss_campaign = Fault_injection.Iss_campaign
 module Journal = Fault_injection.Journal
 module Injection = Fault_injection.Injection
 
-type engine_job =
-  | Ej_rtl of {
-      params : Leon3.Core.params;
-      config : Campaign.config;  (* shard-normalised; per-child shard spliced in *)
-      prog : Sparc.Asm.program;
-      target : Injection.target;
-      prepared : Campaign.prepared;
-    }
-  | Ej_iss of {
-      config : Iss_campaign.config;
-      prog : Sparc.Asm.program;
-      prepared : Iss_campaign.prepared;
-    }
-
 type shard_state =
   | S_pending
   | S_running of { pid : int; pipe : Unix.file_descr; buf : Buffer.t }
@@ -50,7 +36,7 @@ type finished = F_running | F_done of string list | F_failed of string
 type job = {
   id : int;
   spec : Protocol.spec;
-  mutable ej : engine_job option;  (* None once terminal (frees the golden trace) *)
+  mutable ej : Cache.entry option;  (* None once terminal (frees the golden trace) *)
   shards : int;
   state : shard_state array;  (* index k-1 = shard k *)
   attempts : int array;
@@ -110,44 +96,40 @@ let iss_config (spec : Protocol.spec) =
 let target_of_spec (spec : Protocol.spec) =
   match spec.target with "cmem" -> Injection.Cmem | _ -> Injection.Iu
 
-(* Build (or fetch from the golden-trace cache) the engine job for a
-   spec.  The preparation is the expensive part — golden simulation
-   plus static analysis — and is exactly what the cache stores. *)
-let build_engine t (spec : Protocol.spec) =
+(* The one place the engine is chosen: prepare the campaign — golden
+   simulation plus static analysis, the expensive part and exactly
+   what the cache stores — and close a shard runner over it. *)
+let build_engine ?(obs = Obs.null) (spec : Protocol.spec) prog =
+  match spec.engine with
+  | Protocol.Rtl ->
+      let params = { Leon3.Core.default_params with Leon3.Core.gate_level = spec.gate } in
+      let config = rtl_config spec in
+      let target = target_of_spec spec in
+      let prepared =
+        Campaign.prepare ~config ~obs (Leon3.System.create ~params ()) prog target
+      in
+      { Cache.run_shard =
+          (fun ~shard ~journal ~on_progress ->
+            snd
+              (Campaign.run ~config:{ config with Campaign.shard } ~on_progress ~journal
+                 ~resume:true ~prepared
+                 (Leon3.System.create ~params ())
+                 prog target)) }
+  | Protocol.Iss ->
+      let config = iss_config spec in
+      let prepared = Iss_campaign.prepare ~config ~obs prog in
+      { Cache.run_shard =
+          (fun ~shard ~journal ~on_progress ->
+            snd
+              (Iss_campaign.run ~config:{ config with Iss_campaign.shard } ~on_progress
+                 ~journal ~resume:true ~prepared prog)) }
+
+let cached_engine t (spec : Protocol.spec) =
   match build_program spec with
   | Error _ as e -> e
-  | Ok prog -> (
+  | Ok prog ->
       let key = Cache.key ~prog_hash:(Journal.hash_program prog) spec in
-      match spec.engine with
-      | Protocol.Rtl ->
-          let params =
-            { Leon3.Core.default_params with Leon3.Core.gate_level = spec.gate }
-          in
-          let config = rtl_config spec in
-          let target = target_of_spec spec in
-          let v, hit =
-            Cache.find_or_build t.cache ~key ~build:(fun () ->
-                let sys = Leon3.System.create ~params () in
-                Cache.Rtl_prepared (Campaign.prepare ~config ~obs:t.obs sys prog target))
-          in
-          let prepared =
-            match v with
-            | Cache.Rtl_prepared p -> p
-            | Cache.Iss_prepared _ -> assert false  (* engine is part of the key *)
-          in
-          Ok (Ej_rtl { params; config; prog; target; prepared }, hit)
-      | Protocol.Iss ->
-          let config = iss_config spec in
-          let v, hit =
-            Cache.find_or_build t.cache ~key ~build:(fun () ->
-                Cache.Iss_prepared (Iss_campaign.prepare ~config ~obs:t.obs prog))
-          in
-          let prepared =
-            match v with
-            | Cache.Iss_prepared p -> p
-            | Cache.Rtl_prepared _ -> assert false
-          in
-          Ok (Ej_iss { config; prog; prepared }, hit))
+      Ok (Cache.find_or_build t.cache ~key ~build:(fun () -> build_engine ~obs:t.obs spec prog))
 
 (* ---- worker processes ---- *)
 
@@ -176,24 +158,13 @@ let child_body t job k pipe =
   let on_progress ~done_ ~total =
     child_report pipe ~job:job.id ~shard:k ~done_ ~total
   in
-  match
-    match job.ej with
-    | None -> Unix._exit 2
-    | Some (Ej_rtl e) ->
-        let sys = Leon3.System.create ~params:e.params () in
-        let config = { e.config with Campaign.shard = (k, job.shards) } in
-        ignore
-          (Campaign.run ~config ~on_progress ~journal ~resume:true
-             ~prepared:e.prepared sys e.prog e.target)
-    | Some (Ej_iss e) ->
-        let config = { e.config with Iss_campaign.shard = (k, job.shards) } in
-        ignore
-          (Iss_campaign.run ~config ~on_progress ~journal ~resume:true
-             ~prepared:e.prepared e.prog)
-  with
-  | () -> Unix._exit 0
-  | exception Journal.Rejected _ -> Unix._exit 3
-  | exception _ -> Unix._exit 2
+  match job.ej with
+  | None -> Unix._exit 2
+  | Some e -> (
+      match e.Cache.run_shard ~shard:(k, job.shards) ~journal ~on_progress with
+      | _ -> Unix._exit 0
+      | exception Journal.Rejected _ -> Unix._exit 3
+      | exception _ -> Unix._exit 2)
 
 let spawn t job k =
   let r, w = Unix.pipe () in
@@ -428,7 +399,7 @@ let submit t spec =
   match Protocol.validate_spec spec with
   | Error _ as e -> e
   | Ok () -> (
-      match try build_engine t spec with e -> Error (Printexc.to_string e) with
+      match try cached_engine t spec with e -> Error (Printexc.to_string e) with
       | Error _ as e -> e
       | Ok (ej, cache_hit) ->
           let id = Jobqueue.next_id t.queue in
@@ -477,7 +448,7 @@ let recover t (r : Jobqueue.job_record) =
           requeues = 0; cache_hit = false; finished = F_failed reason };
       t.order <- t.order @ [ r.id ]
   | `Open -> (
-      match try build_engine t r.spec with e -> Error (Printexc.to_string e) with
+      match try cached_engine t r.spec with e -> Error (Printexc.to_string e) with
       | Error reason ->
           let job =
             { id = r.id; spec = r.spec; ej = None; shards = r.spec.Protocol.shards;

@@ -42,6 +42,12 @@ val create :
     collector is created anyway, so cache and golden-run counters are
     always observable. *)
 
+val build_engine : ?obs:Obs.t -> Protocol.spec -> Sparc.Asm.program -> Cache.entry
+(** Prepare a spec's campaign for [program] — the golden run and, for
+    the RTL engine, static analysis, recorded on [obs] — and close its
+    shard runner over the preparation: the value the golden-trace
+    cache stores.  The only place the spec's engine is dispatched on. *)
+
 val submit : t -> Protocol.spec -> (int * bool, string) result
 (** Validate, prepare (through the golden-trace cache) and enqueue a
     campaign.  Returns the job id and whether the preparation was a

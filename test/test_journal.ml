@@ -6,6 +6,7 @@ module I = Sparc.Isa
 module C = Rtl.Circuit
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
+module Iss_campaign = Fault_injection.Iss_campaign
 module Journal = Fault_injection.Journal
 
 let check_int = Alcotest.(check int)
@@ -297,29 +298,120 @@ let test_shard_merge_equals_direct () =
       check_bool "incomplete set rejected" true
         (match Journal.merge [ shard1 ] with Ok _ -> false | Error _ -> true)
 
+(* A kill mid-write: the header, the first half of the verdict
+   lines, and a torn final record. *)
+let write_torn_copy ~src ~dst =
+  let lines = In_channel.with_open_text src In_channel.input_lines in
+  let keep = 1 + ((List.length lines - 1) / 2) in
+  Out_channel.with_open_text dst (fun oc ->
+      List.iteri
+        (fun i l ->
+          if i < keep then begin
+            output_string oc l;
+            output_char oc '\n'
+          end)
+        lines;
+      output_string oc {|{"type":"verdict","i":99,"site":"torn|});
+  keep - 1
+
 let test_sharded_parallel_engine () =
-  (* the parallel engine, sharded and journaled, produces the same
-     shard journal as the sequential engine *)
-  with_journal @@ fun seq_path ->
-  with_journal @@ fun par_path ->
-  let _, seq = direct_run ~shard:(2, 3) ~journal:seq_path () in
-  let _, par =
-    Campaign.run_parallel ~config:(config ~shard:(2, 3) ()) ~domains:3 ~journal:par_path
-      (fun () -> Leon3.System.create ())
-      (Lazy.force small_prog) Injection.Iu
+  (* Both engines run on one driver: for each, a sequential journaled
+     shard 2/3 is the reference, and the driver at 1 and 3 domains —
+     fresh, and resumed from a torn copy of the reference journal —
+     must reproduce its verdict list and its journal as an
+     index-sorted record set (line order follows completion) *)
+  let prog = Lazy.force small_prog in
+  let rtl ~domains ~obs ~journal ~resume =
+    let config = config ~shard:(2, 3) () in
+    snd
+      (match domains with
+      | None ->
+          Campaign.run ~config ~obs ~journal ~resume (Lazy.force shared_sys) prog
+            Injection.Iu
+      | Some domains ->
+          Campaign.run_parallel ~config ~obs ~domains ~journal ~resume
+            (fun () -> Leon3.System.create ())
+            prog Injection.Iu)
   in
-  check_int "result count" (List.length seq) (List.length par);
-  List.iter2
-    (fun a b -> check_bool "verdicts equal" true (full_verdict a = full_verdict b))
-    seq par;
-  match (Journal.load seq_path, Journal.load par_path) with
-  | Ok (fa, ea), Ok (fb, eb) ->
-      check_bool "fingerprints equal" true (Journal.full_mismatch fa fb = None);
-      check_int "journal sizes equal" (List.length ea) (List.length eb);
-      let key e = (e.Journal.index, full_verdict e.Journal.result) in
-      check_bool "journal contents equal" true
-        (List.sort compare (List.map key ea) = List.sort compare (List.map key eb))
-  | Error m, _ | _, Error m -> Alcotest.fail m
+  let iss ~domains ~obs ~journal ~resume =
+    let config =
+      { Iss_campaign.default_config with
+        Iss_campaign.samples_per_model = 8;
+        shard = (2, 3) }
+    in
+    snd
+      (match domains with
+      | None -> Iss_campaign.run ~config ~obs ~journal ~resume prog
+      | Some domains ->
+          Iss_campaign.run_parallel ~config ~obs ~domains ~journal ~resume prog)
+  in
+  let records path =
+    match Journal.load path with
+    | Ok (fp, es) ->
+        ( fp,
+          List.sort compare
+            (List.map (fun e -> (e.Journal.index, full_verdict e.Journal.result)) es) )
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (engine, run) ->
+      with_journal @@ fun ref_path ->
+      let reference = run ~domains:None ~obs:Obs.null ~journal:ref_path ~resume:false in
+      let ref_fp, ref_records = records ref_path in
+      check_bool (engine ^ ": shard is non-empty") true (reference <> []);
+      let agrees label path results =
+        let label = Printf.sprintf "%s %s" engine label in
+        check_bool (label ^ ": verdicts") true
+          (List.map full_verdict results = List.map full_verdict reference);
+        let fp, rs = records path in
+        check_bool (label ^ ": fingerprint") true (Journal.full_mismatch ref_fp fp = None);
+        check_bool (label ^ ": journal records") true (rs = ref_records)
+      in
+      List.iter
+        (fun domains ->
+          let label = Printf.sprintf "domains=%d" domains in
+          with_journal (fun path ->
+              agrees label path
+                (run ~domains:(Some domains) ~obs:Obs.null ~journal:path ~resume:false));
+          with_journal (fun path ->
+              let survivors = write_torn_copy ~src:ref_path ~dst:path in
+              let obs = Obs.create () in
+              let results = run ~domains:(Some domains) ~obs ~journal:path ~resume:true in
+              check_int (Printf.sprintf "%s %s: replayed" engine label) survivors
+                (Obs.counter obs "journal.replayed");
+              agrees (label ^ " resumed") path results))
+        [ 1; 3 ])
+    [ ("rtl", rtl); ("iss", iss) ]
+
+let test_rejected_run_restores_system () =
+  (* a journal whose header matches but whose first verdict names
+     another site is rejected mid-replay; the caller's system must not
+     keep counting into the dead collector afterwards *)
+  with_journal @@ fun path ->
+  let sys = Lazy.force shared_sys in
+  let _ = direct_run ~journal:path () in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  let forge line =
+    let key = {|"site":"|} in
+    let klen = String.length key in
+    let rec find i =
+      if String.sub line i klen = key then i + klen else find (i + 1)
+    in
+    let start = find 0 in
+    let stop = String.index_from line start '"' in
+    String.sub line 0 start ^ "forged" ^ String.sub line stop (String.length line - stop)
+  in
+  Out_channel.with_open_text path (fun oc ->
+      List.iteri
+        (fun i l ->
+          output_string oc (if i = 1 then forge l else l);
+          output_char oc '\n')
+        lines);
+  check_bool "forged verdict rejected" true
+    (match direct_run ~journal:path ~resume:true ~obs:(Obs.create ()) () with
+    | _ -> false
+    | exception Journal.Rejected _ -> true);
+  check_bool "collector detached" true (Leon3.System.obs sys == Obs.null)
 
 let test_invalid_shard_rejected () =
   let sys = Lazy.force shared_sys in
@@ -362,6 +454,8 @@ let suite =
       Alcotest.test_case "stale journal rejected" `Slow test_campaign_rejects_stale_journal;
       Alcotest.test_case "shard merge = direct" `Slow test_shard_merge_equals_direct;
       Alcotest.test_case "sharded parallel engine" `Slow test_sharded_parallel_engine;
+      Alcotest.test_case "rejected run restores system" `Slow
+        test_rejected_run_restores_system;
       Alcotest.test_case "invalid shard rejected" `Quick test_invalid_shard_rejected;
       Alcotest.test_case "worker exception propagates" `Slow
         test_parallel_exception_propagates ] )

@@ -153,14 +153,11 @@ let test_cache_lru () =
   let builds = ref 0 in
   let get seed =
     let s = spec seed in
-    let config =
-      { Iss_campaign.default_config with Iss_campaign.samples_per_model = 3; seed }
-    in
     let _, hit =
       Serve.Cache.find_or_build cache ~key:(Serve.Cache.key ~prog_hash s)
         ~build:(fun () ->
           incr builds;
-          Serve.Cache.Iss_prepared (Iss_campaign.prepare ~config prog))
+          Serve.Scheduler.build_engine s prog)
     in
     hit
   in
