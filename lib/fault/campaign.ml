@@ -936,11 +936,7 @@ let run_transient ?(sample = 400) ?(seed = 7) ?(trim = true) ?(event = true)
   let golden =
     golden_run ~obs ~trace:event ?checkpoint_every sys prog ~max_cycles:5_000_000
   in
-  let plan =
-    if event then
-      Some (Analysis.Graph.replay_plan (Analysis.Graph.build core.Leon3.Core.circuit))
-    else None
-  in
+  let plan = if event then Some (C.compiled_plan core.Leon3.Core.circuit) else None in
   let chosen =
     Obs.span obs "site_sampling" @@ fun () ->
     let pool = Array.of_list (Injection.sites core target) in

@@ -29,8 +29,8 @@
     [simulate], [converge]), per-injection outcome counters
     ([injections], [outcome.*], [prefiltered], [early_exits],
     [simulated], [cycles.saved], plus [rtl.cycles] /
-    [rtl.instructions] from the attached system) and a
-    [detect_latency] histogram.  {!run_parallel} gives each domain a
+    [rtl.instructions] / [rtl.evals] / [rtl.full_settles] from the
+    attached system) and a [detect_latency] histogram.  {!run_parallel} gives each domain a
     private {!Obs.fork} and merges them in spawn order ({!Driver.run}),
     so counter totals are identical for any domain count. *)
 

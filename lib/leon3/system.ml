@@ -243,9 +243,12 @@ let run_segment ?on_event ?detect_loops t ~until_cycle ~max_cycles =
   else begin
     let c = circuit t in
     let c0 = C.cycle c and i0 = C.value c t.core.Core.instret in
+    let e0 = C.scalar_evals c and f0 = C.full_settles c in
     let r = run_segment_raw ?on_event ?detect_loops t ~until_cycle ~max_cycles in
     Obs.incr t.obs ~by:(C.cycle c - c0) "rtl.cycles";
     Obs.incr t.obs ~by:(C.value c t.core.Core.instret - i0) "rtl.instructions";
+    Obs.incr t.obs ~by:(C.scalar_evals c - e0) "rtl.evals";
+    Obs.incr t.obs ~by:(C.full_settles c - f0) "rtl.full_settles";
     r
   end
 

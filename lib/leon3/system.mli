@@ -33,8 +33,10 @@ val mem_latency : t -> int
 val set_obs : t -> Obs.t -> unit
 (** Attach a telemetry collector: every {!run}/{!run_segment} call
     then adds the cycles and instructions it simulated to the
-    [rtl.cycles] / [rtl.instructions] counters.  Default {!Obs.null}
-    (no cost). *)
+    [rtl.cycles] / [rtl.instructions] counters, and the comb
+    evaluations and full sweeps its scalar settles performed
+    ({!Rtl.Circuit.scalar_evals}, {!Rtl.Circuit.full_settles}) to
+    [rtl.evals] / [rtl.full_settles].  Default {!Obs.null} (no cost). *)
 
 val obs : t -> Obs.t
 

@@ -75,6 +75,17 @@ module Vec = struct
     v.a.(v.n) <- x;
     v.n <- v.n + 1
 
+  (* [push] at type int: the store needs no write barrier, which the
+     per-settle change logs and trace deltas feel *)
+  let push_int (v : int t) (x : int) =
+    if v.n = Array.length v.a then begin
+      let a' = Array.make (2 * v.n) 0 in
+      Array.blit v.a 0 a' 0 v.n;
+      v.a <- a'
+    end;
+    Array.unsafe_set v.a v.n x;
+    v.n <- v.n + 1
+
   let clear v = v.n <- 0
 
   (* Remove element [i] by swapping the last element into its place. *)
@@ -304,6 +315,27 @@ type t = {
   mutable cone : bool array;
   mutable cone_mems : bool array;
   mutable cone_on : bool;
+  (* change-driven scalar settle: [moved] holds the sources (inputs,
+     registers, a faulted source) whose value moved since the last
+     settle, then — during a settle — the comb nodes it changed;
+     [mem_seeds] the memories with a cell whose content moved.  The
+     worklist is one flat queue with a fixed slice per comb level (a
+     node is queued at most once per settle, so no slice overflows).
+     [track] is off while a replay or batch owns the values (no logging
+     then); [full] makes the next scalar settle sweep every node, which
+     every wholesale state rewrite requests. *)
+  mutable track : bool;
+  mutable full : bool;
+  moved : int Vec.t;
+  mem_seeds : int Vec.t;
+  mutable mem_moved : bool array;
+  mutable sc_queue : int array;
+  mutable sc_start : int array;  (* per level: first slot of its slice *)
+  mutable sc_fill : int array;  (* per level: next free slot *)
+  mutable sc_stamp : int array;  (* per node: epoch it was last queued in *)
+  mutable sc_epoch : int;
+  mutable sc_evals : int;  (* comb evaluations of scalar settles *)
+  mutable sc_full : int;  (* scalar settles that swept every node *)
 }
 
 let create c_name =
@@ -313,7 +345,10 @@ let create c_name =
     rport_of = [||]; max_deps = 0; reg_ids = [||]; reg_next = [||]; reg_d = [||];
     reg_en = [||]; input_ids = [||]; compiled = None; by_name = Hashtbl.create 16;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
-    replay = None; batch = None; cone = [||]; cone_mems = [||]; cone_on = true }
+    replay = None; batch = None; cone = [||]; cone_mems = [||]; cone_on = true;
+    track = true; full = true; moved = Vec.create 0; mem_seeds = Vec.create 0;
+    mem_moved = [||]; sc_queue = [||]; sc_start = [||]; sc_fill = [||]; sc_stamp = [||];
+    sc_epoch = 0; sc_evals = 0; sc_full = 0 }
 
 let name t = t.c_name
 
@@ -580,19 +615,36 @@ let elaborate t =
         rp_max_level = !max_level;
         rp_mem_readers =
           Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) readers };
+  t.mem_moved <- Array.make (Array.length t.mem_arr) false;
+  let start = Array.make (!max_level + 2) 0 in
+  Array.iteri
+    (fun id nd ->
+      match nd.kind with
+      | Comb _ -> start.(levels.(id) + 1) <- start.(levels.(id) + 1) + 1
+      | Input | Const _ | Register _ -> ())
+    nodes;
+  for l = 1 to !max_level + 1 do
+    start.(l) <- start.(l) + start.(l - 1)
+  done;
+  t.sc_queue <- Array.make (max 1 start.(!max_level + 1)) 0;
+  t.sc_start <- start;
+  t.sc_fill <- Array.copy start;
+  t.sc_stamp <- Array.make n 0;
   t.elaborated <- true
 
 let check_elab t = if not t.elaborated then raise Not_elaborated
 
 (* --- value-coverage recording --- *)
 
+let record_node t cov id =
+  let v = Array.unsafe_get t.values id in
+  Array.unsafe_set cov.cov_seen1 id (Array.unsafe_get cov.cov_seen1 id lor v);
+  Array.unsafe_set cov.cov_seen0 id
+    (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get t.masks id land lnot v))
+
 let record_nodes t cov =
-  let n = Array.length t.values in
-  for id = 0 to n - 1 do
-    let v = Array.unsafe_get t.values id in
-    Array.unsafe_set cov.cov_seen1 id (Array.unsafe_get cov.cov_seen1 id lor v);
-    Array.unsafe_set cov.cov_seen0 id
-      (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get t.masks id land lnot v))
+  for id = 0 to Array.length t.values - 1 do
+    record_node t cov id
   done
 
 let record_cell cov m idx ~mask v =
@@ -608,7 +660,10 @@ let coverage_start t =
       cov_cell_seen0 = Array.map (fun m -> Array.make m.words 0) t.mem_arr;
       cov_cell_seen1 = Array.map (fun m -> Array.make m.words 0) t.mem_arr }
   in
-  t.recording <- Some cov
+  t.recording <- Some cov;
+  (* a change-driven settle records only what moved: the first recorded
+     state must be a full one *)
+  t.full <- true
 
 let coverage_stop t =
   check_elab t;
@@ -647,6 +702,7 @@ let reset t =
     t.nodes;
   Array.iter (fun m -> Array.fill m.data 0 m.words 0) t.mem_arr;
   t.cyc <- 0;
+  t.full <- true;
   (match t.fault with Some f -> f.frozen <- None | None -> ());
   match t.recording with
   | Some cov ->
@@ -688,7 +744,9 @@ let set_input t s v =
   (match t.nodes.(s).kind with
   | Input -> ()
   | Const _ | Comb _ | Register _ -> invalid_arg "Circuit.set_input: not an input");
-  t.values.(s) <- v land t.masks.(s);
+  let v = v land t.masks.(s) in
+  if t.track && t.values.(s) <> v then Vec.push_int t.moved s;
+  t.values.(s) <- v;
   match t.replay with
   | Some r when not r.exhausted -> set_dirty r s (t.values.(s) <> r.g_values.(s))
   | Some _ | None -> ()
@@ -722,7 +780,12 @@ let apply_node_fault t id v =
 (* The single mutation path for memory content: faulty-side replay
    accounting and the golden trace's write stream both hook here. *)
 let commit_cell t m idx v =
-  t.mem_arr.(m).data.(idx) <- v;
+  let data = t.mem_arr.(m).data in
+  if t.track && data.(idx) <> v && not t.mem_moved.(m) then begin
+    t.mem_moved.(m) <- true;
+    Vec.push t.mem_seeds m
+  end;
+  data.(idx) <- v;
   (match t.replay with
   | Some r when not r.exhausted -> mark_mem_diff t r m idx
   | Some _ | None -> ());
@@ -776,9 +839,12 @@ let refresh_cell_fault t =
 
 let inject t ?(from_cycle = 0) ?duration site model =
   if t.batch <> None then invalid_arg "Circuit.inject: batch armed (use batch_arm)";
-  t.fault <- Some { site; model; from_cycle; duration; frozen = None }
+  t.fault <- Some { site; model; from_cycle; duration; frozen = None };
+  t.full <- true
 
-let clear_fault t = t.fault <- None
+let clear_fault t =
+  t.fault <- None;
+  t.full <- true
 
 let fault_model_name = function
   | Stuck_at_0 -> "stuck-at-0"
@@ -801,9 +867,16 @@ let trace_start t =
         tb_keys = [];
         tb_wmem = Vec.create 0;
         tb_wbucket = Vec.create 0;
-        tb_evals = 0 }
+        tb_evals = 0 };
+  t.full <- true
 
-let trace_record t tb =
+(* Recording one settled state is [trace_begin], [trace_note] on every
+   node that may have moved since the previous one (all of them after a
+   full sweep, the change list otherwise) and [trace_end].  A noted
+   node whose value equals the last recorded one adds no delta, so the
+   change list may over-approximate and repeat ids. *)
+let trace_begin t tb =
+  (* dense-equivalent cost, whichever way the settle ran *)
   tb.tb_evals <- tb.tb_evals + Array.length t.order;
   let c = t.cyc in
   if c < tb.tb_upto then
@@ -813,20 +886,22 @@ let trace_record t tb =
       Vec.push tb.tb_dend (Vec.length tb.tb_delta)
     done;
     tb.tb_upto <- c
-  end;
-  let values = t.values and prev = tb.tb_prev in
-  for id = 0 to Array.length values - 1 do
-    let v = Array.unsafe_get values id in
-    if v <> Array.unsafe_get prev id then begin
-      Vec.push tb.tb_delta (pack_delta id v);
-      Array.unsafe_set prev id v
-    end
-  done;
+  end
+
+let trace_note t tb id =
+  let v = Array.unsafe_get t.values id in
+  if v <> Array.unsafe_get tb.tb_prev id then begin
+    Vec.push_int tb.tb_delta (pack_delta id v);
+    Array.unsafe_set tb.tb_prev id v
+  end
+
+let trace_end t tb =
+  let c = t.cyc in
   Vec.set tb.tb_dend c (Vec.length tb.tb_delta);
   if c mod key_every = 0 then
     match tb.tb_keys with
-    | (kc, _) :: rest when kc = c -> tb.tb_keys <- (c, Array.copy values) :: rest
-    | _ -> tb.tb_keys <- (c, Array.copy values) :: tb.tb_keys
+    | (kc, _) :: rest when kc = c -> tb.tb_keys <- (c, Array.copy t.values) :: rest
+    | _ -> tb.tb_keys <- (c, Array.copy t.values) :: tb.tb_keys
 
 let trace_stop t =
   check_elab t;
@@ -862,9 +937,20 @@ let trace_cycles tr = tr.tr_len
 
 let trace_evals tr = tr.tr_evals
 
+let trace_delta tr c =
+  if c < 0 || c >= tr.tr_len then invalid_arg "Circuit.trace_delta: cycle out of range";
+  let d0 = if c = 0 then 0 else tr.tr_dend.(c - 1) in
+  List.init (tr.tr_dend.(c) - d0) (fun i ->
+      let p = tr.tr_delta.(d0 + i) in
+      (delta_id p, delta_val p))
+
 (* --- simulation --- *)
 
-let dense_settle t =
+(* Full sweep: every comb node in topological order.  The scalar
+   engine's invalidation path (the first settle after any wholesale
+   state rewrite) and the reference the change-driven settle is tested
+   against. *)
+let full_settle t =
   refresh_cell_fault t;
   (* A fault on a source node (input/const/register) is applied to its
      stored value before combinational propagation. *)
@@ -898,8 +984,125 @@ let dense_settle t =
       let v = (Array.unsafe_get evals k) values land Array.unsafe_get masks id in
       Array.unsafe_set values id (if id = fnode then apply_node_fault t id v else v)
     done;
-  (match t.tracing with Some tb -> trace_record t tb | None -> ());
-  match t.recording with Some cov -> record_nodes t cov | None -> ()
+  (match t.tracing with
+  | Some tb ->
+      trace_begin t tb;
+      for id = 0 to Array.length values - 1 do
+        trace_note t tb id
+      done;
+      trace_end t tb
+  | None -> ());
+  (match t.recording with Some cov -> record_nodes t cov | None -> ());
+  (* everything logged since the last settle is accounted for *)
+  Vec.clear t.moved;
+  for i = 0 to Vec.length t.mem_seeds - 1 do
+    t.mem_moved.(Vec.get t.mem_seeds i) <- false
+  done;
+  Vec.clear t.mem_seeds;
+  t.full <- false;
+  t.sc_full <- t.sc_full + 1;
+  t.sc_evals <- t.sc_evals + Array.length order
+
+(* Change-driven settle: evaluate, in level order, only the comb fanout
+   of what moved since the last settle — sources logged by [clock] and
+   [set_input], the faulted source node transformed here, the read
+   ports of memories whose content moved, and the armed comb fault site
+   (every settle, so an open-line captures its value at activation and
+   a closed window heals on the next settle).  Comb values are pure
+   functions of their dependencies, so a node none of whose inputs
+   moved already holds the value a full sweep would compute. *)
+let change_settle t =
+  refresh_cell_fault t;
+  let values = t.values and masks = t.masks and moved = t.moved in
+  let fnode =
+    match t.fault with
+    | Some ({ site = Node (s, bit); _ } as f) -> (
+        match t.nodes.(s).kind with
+        | Comb _ -> s
+        | Input | Const _ | Register _ ->
+            (if fault_active t f then
+               let v0 = values.(s) in
+               let v = transform_bit f ~bit v0 in
+               if v <> v0 then begin
+                 values.(s) <- v;
+                 Vec.push_int moved s
+               end);
+            -1)
+    | Some { site = Cell _; _ } | None -> -1
+  in
+  let rp = match t.compiled with Some p -> p | None -> raise Not_elaborated in
+  let fanout = rp.rp_fanout and level = rp.rp_level in
+  let queue = t.sc_queue and start = t.sc_start and fill = t.sc_fill in
+  let stamp = t.sc_stamp in
+  t.sc_epoch <- t.sc_epoch + 1;
+  let epoch = t.sc_epoch in
+  let push id =
+    if Array.unsafe_get stamp id <> epoch then begin
+      Array.unsafe_set stamp id epoch;
+      let l = Array.unsafe_get level id in
+      let k = Array.unsafe_get fill l in
+      Array.unsafe_set queue k id;
+      Array.unsafe_set fill l (k + 1)
+    end
+  in
+  for i = 0 to Vec.length moved - 1 do
+    Array.iter push fanout.(Vec.get moved i)
+  done;
+  for i = 0 to Vec.length t.mem_seeds - 1 do
+    let m = Vec.get t.mem_seeds i in
+    t.mem_moved.(m) <- false;
+    Array.iter push rp.rp_mem_readers.(m)
+  done;
+  Vec.clear t.mem_seeds;
+  if fnode >= 0 then push fnode;
+  (* an evaluation only queues strictly deeper nodes, so each level's
+     slice is complete when its turn comes; the queueing is spelled out
+     in the loop rather than calling [push], which is a closure *)
+  let eval_by_id = t.eval_by_id in
+  let nev = ref 0 in
+  for l = 1 to rp.rp_max_level do
+    let first = Array.unsafe_get start l and last = Array.unsafe_get fill l - 1 in
+    for k = first to last do
+      let id = Array.unsafe_get queue k in
+      let v0 = (Array.unsafe_get eval_by_id id) values land Array.unsafe_get masks id in
+      let v = if id = fnode then apply_node_fault t id v0 else v0 in
+      if v <> Array.unsafe_get values id then begin
+        Array.unsafe_set values id v;
+        Vec.push_int moved id;
+        let f = Array.unsafe_get fanout id in
+        for j = 0 to Array.length f - 1 do
+          let s = Array.unsafe_get f j in
+          if Array.unsafe_get stamp s <> epoch then begin
+            Array.unsafe_set stamp s epoch;
+            let ls = Array.unsafe_get level s in
+            let q = Array.unsafe_get fill ls in
+            Array.unsafe_set queue q s;
+            Array.unsafe_set fill ls (q + 1)
+          end
+        done
+      end
+    done;
+    nev := !nev + (last - first + 1);
+    Array.unsafe_set fill l first
+  done;
+  t.sc_evals <- t.sc_evals + !nev;
+  (match t.tracing with
+  | Some tb ->
+      trace_begin t tb;
+      for i = 0 to Vec.length moved - 1 do
+        trace_note t tb (Vec.get moved i)
+      done;
+      trace_end t tb
+  | None -> ());
+  (match t.recording with
+  | Some cov ->
+      for i = 0 to Vec.length moved - 1 do
+        record_node t cov (Vec.get moved i)
+      done
+  | None -> ());
+  Vec.clear moved
+
+let scalar_settle t = if t.full then full_settle t else change_settle t
 
 (* Differential settle: re-evaluate only the fanout cone of nodes that
    differ from the golden trace; every clean node already holds its
@@ -981,13 +1184,20 @@ let settle t =
   match t.replay with
   | Some r when not r.exhausted -> replay_settle t r
   | Some r ->
-      (* past the end of the golden trace (watchdog territory): the
-         dense sweep is exactly what a full engine would do, so both
-         counters advance together *)
+      (* past the end of the golden trace (watchdog territory) the
+         scalar engine takes over; both replay counters keep counting
+         dense-equivalent sweeps, so the replay's saving ratio covers
+         only the cycles it replayed *)
       r.evals <- r.evals + Array.length t.order;
       r.dense <- r.dense + Array.length t.order;
-      dense_settle t
-  | None -> dense_settle t
+      scalar_settle t
+  | None -> scalar_settle t
+
+let invalidate t = t.full <- true
+
+let scalar_evals t = t.sc_evals
+
+let full_settles t = t.sc_full
 
 let clock_core t =
   let values = t.values in
@@ -1012,16 +1222,37 @@ let clock_core t =
         end
       done)
     t.mem_arr;
-  (* Phase 2: commit. *)
-  Array.iteri (fun k id -> values.(id) <- t.reg_next.(k)) t.reg_ids;
+  (* Phase 2: commit (logging the registers that moved for the next
+     change-driven settle while the scalar engine is in charge). *)
+  let reg_ids = t.reg_ids and reg_next = t.reg_next in
+  if t.track then
+    for k = 0 to Array.length reg_ids - 1 do
+      let id = Array.unsafe_get reg_ids k and v = Array.unsafe_get reg_next k in
+      if Array.unsafe_get values id <> v then begin
+        Array.unsafe_set values id v;
+        Vec.push_int t.moved id
+      end
+    done
+  else Array.iteri (fun k id -> values.(id) <- reg_next.(k)) reg_ids;
   t.cyc <- t.cyc + 1
+
+(* A replay or batch took over or handed back the node values: log
+   moves only while the scalar engine is in charge (an armed, not yet
+   exhausted replay or a batch never reads the log), and re-enter it
+   with a full sweep. *)
+let rearm_scalar t =
+  t.track <- t.batch = None && (match t.replay with None -> true | Some r -> r.exhausted);
+  t.full <- true
 
 (* Advance the golden shadow to the new cycle: apply the value delta,
    re-derive register dirtiness against it, install golden values into
    every clean node, and commit the golden memory writes. *)
 let advance_shadow t r =
   let c = t.cyc in
-  if c >= r.tr.tr_len then r.exhausted <- true
+  if c >= r.tr.tr_len then begin
+    r.exhausted <- true;
+    rearm_scalar t
+  end
   else begin
     let dend = r.tr.tr_dend and delta = r.tr.tr_delta in
     let d0 = if c = 0 then 0 else dend.(c - 1) in
@@ -1074,7 +1305,8 @@ let mem_write t m idx v =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.mem_write: batch armed";
   let info = t.mem_arr.(m) in
-  if idx < info.words then write_cell t m idx v
+  if idx < info.words then write_cell t m idx v;
+  t.full <- true
 
 (* --- differential replay control --- *)
 
@@ -1158,13 +1390,15 @@ let replay_start t plan tr =
         done)
       t.mem_arr
   end;
-  t.replay <- Some r
+  t.replay <- Some r;
+  rearm_scalar t
 
 let replay_stop t =
   match t.replay with
   | None -> invalid_arg "Circuit.replay_stop: not replaying"
   | Some r ->
       t.replay <- None;
+      rearm_scalar t;
       { rs_evals = r.evals;
         rs_dense_evals = r.dense;
         rs_dirty_peak = r.dirty_peak;
@@ -1334,7 +1568,8 @@ let batch_start t tr =
         bt_exhausted = false;
         bt_tail = false;
         bt_evals = 0;
-        bt_dense = 0 }
+        bt_dense = 0 };
+  rearm_scalar t
 
 let batch_arm t lane ?(from_cycle = 0) ?duration site model =
   let bt = get_batch t "batch_arm" in
@@ -1738,6 +1973,7 @@ let batch_stop t =
   | None -> invalid_arg "Circuit.batch_stop: no batch armed"
   | Some bt ->
       t.batch <- None;
+      rearm_scalar t;
       { bs_evals = bt.bt_evals; bs_dense_evals = bt.bt_dense }
 
 let batch_armed t = t.batch <> None
@@ -1768,7 +2004,8 @@ let restore t snap =
   Array.iteri
     (fun m info -> Array.blit snap.snap_mems.(m) 0 info.data 0 info.words)
     t.mem_arr;
-  t.cyc <- snap.snap_cycle
+  t.cyc <- snap.snap_cycle;
+  t.full <- true
 
 let int_arrays_equal a b =
   let n = Array.length a in

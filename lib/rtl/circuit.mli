@@ -16,10 +16,12 @@
     keeps its previous settled value (for cells: writes to the bit are
     lost).
 
-    The kernel is deliberately cycle-based rather than event-driven —
-    fault-injection campaigns run thousands of full-program
-    simulations, so the per-cycle cost is a flat sweep over a
-    precomputed schedule. *)
+    The kernel is cycle-based: values are only meaningful at settled
+    states, one per clock.  A settle is nevertheless change-driven — it
+    re-evaluates only the combinational fanout of what moved since the
+    previous settle (see {!settle}), since a few percent of the netlist
+    changes per cycle and fault-injection campaigns run thousands of
+    full-program simulations. *)
 
 type t
 
@@ -124,7 +126,44 @@ val set_input : t -> signal -> int -> unit
 
 val settle : t -> unit
 (** Propagate combinational values from the current register/input
-    state. *)
+    state.
+
+    {b Settle contract.}  Outside an armed replay or batch, a settle is
+    change-driven: it evaluates, in level order over {!compiled_plan},
+    only the combinational fanout of
+    - registers whose committed value changed at the last {!clock};
+    - inputs whose value {!set_input} actually changed;
+    - the read ports of every memory with a cell whose content changed
+      (clocked writes, an armed cell fault forcing its bit);
+    - the faulted source node (input, constant or register), whose
+      stored value is transformed at every settle while the fault is
+      active;
+    - the armed combinational fault site, evaluated at every settle
+      while the fault is armed, so an open-line captures its value at
+      activation and a closed window heals on the next settle.
+
+    Every combinational evaluator is a pure function of its
+    dependencies (read ports: and of their memory), so the result is
+    exactly the full sweep's.  Operations that rewrite state wholesale
+    — {!reset}, {!restore}, {!transplant}, {!inject}, {!clear_fault},
+    {!mem_write}, {!coverage_start}, {!trace_start}, and the start or
+    stop of a replay or batch (or a replay running past its trace) —
+    make the next settle a full sweep of every node instead; so does
+    {!invalidate}.  Coverage and trace recording follow the same
+    change list; {!trace_evals} stays the dense-equivalent count. *)
+
+val invalidate : t -> unit
+(** Make the next settle a full sweep.  Never needed for correctness —
+    every wholesale rewrite already does this — but it is the reference
+    the change-driven settle is checked against. *)
+
+val scalar_evals : t -> int
+(** Combinational evaluations performed by scalar (non-replay,
+    non-batch) settles since elaboration: a full sweep counts every
+    comb node, a change-driven settle the nodes it evaluated. *)
+
+val full_settles : t -> int
+(** Scalar settles since elaboration that swept every node. *)
 
 val clock : t -> unit
 (** Commit register next-values and memory writes from the settled
@@ -241,9 +280,9 @@ val fault_model_name : fault_model -> string
 type coverage
 
 val coverage_start : t -> unit
-(** Begin recording (clears any previous recording).  Recording adds
-    one sweep over the node array per {!settle}; enable it only for
-    the golden run. *)
+(** Begin recording (clears any previous recording).  The next settle
+    is a full sweep and records every node; later settles record the
+    nodes that moved, so recording costs scale with activity. *)
 
 val coverage_stop : t -> coverage
 (** Stop recording and return the accumulated coverage. *)
@@ -273,10 +312,10 @@ type trace
     share read-only across parallel campaign domains. *)
 
 val trace_start : t -> unit
-(** Begin recording a trace of every subsequent settled state.  Adds
-    one compare sweep per {!settle} (same order of cost as coverage
-    recording); enable it only for the golden run.  Fails if a replay
-    is armed. *)
+(** Begin recording a trace of every subsequent settled state.  Each
+    {!settle} compares the nodes that moved against the last recorded
+    state (every node after a full sweep), so the cost scales with
+    activity, like coverage recording.  Fails if a replay is armed. *)
 
 val trace_stop : t -> trace
 (** Stop recording and freeze the trace. *)
@@ -285,8 +324,15 @@ val trace_cycles : trace -> int
 (** Number of settled cycles recorded (cycles [0 .. n-1]). *)
 
 val trace_evals : trace -> int
-(** Combinational evaluations performed while the trace was recorded
-    (the golden run's dense-sweep cost, for reporting). *)
+(** The golden run's dense-sweep cost while the trace was recorded:
+    every comb node per settle, however few the change-driven settle
+    actually evaluated — the denominator replay savings are reported
+    against. *)
+
+val trace_delta : trace -> int -> (signal * int) list
+(** [trace_delta tr c]: the [(node, value)] changes recorded for
+    settled cycle [c] (one entry per node per settle that moved it), in
+    recording order.  [Invalid_argument] outside [0 .. trace_cycles - 1]. *)
 
 type replay_plan = {
   rp_fanout : int array array;
@@ -309,7 +355,7 @@ val replay_start : t -> replay_plan -> trace -> unit
     makes the dirty set start empty.  While a replay is armed,
     {!reset} and {!restore} are rejected.  Past the end of the trace
     (watchdog territory: the faulty run outlives the golden program)
-    the engine falls back to dense sweeps and {!replay_converged}
+    the scalar settle takes over (see {!settle}) and {!replay_converged}
     reports [None]. *)
 
 val replay_active : t -> bool

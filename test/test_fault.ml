@@ -470,8 +470,8 @@ let test_parallel_progress_reporting () =
   check_int "both reach the same final total" !seq_final (Atomic.get par_final)
 
 let obs_counter_names =
-  [ "injections"; "prefiltered"; "early_exits"; "simulated"; "rtl.cycles";
-    "cycles.saved" ]
+  [ "injections"; "prefiltered"; "early_exits"; "simulated"; "rtl.cycles"; "rtl.evals";
+    "rtl.full_settles"; "cycles.saved" ]
 
 let snapshot obs = List.map (fun n -> (n, Obs.counter obs n)) obs_counter_names
 
@@ -497,6 +497,8 @@ let test_obs_counters_domain_invariant () =
   in
   let obs1 = run_par 1 and obs4 = run_par 4 in
   check_bool "injections recorded" true (Obs.counter obs_seq "injections" = 60);
+  check_bool "scalar settles counted" true
+    (Obs.counter obs_seq "rtl.evals" > 0 && Obs.counter obs_seq "rtl.full_settles" > 0);
   Alcotest.(check (list (pair string int)))
     "sequential = domains:1" (snapshot obs_seq) (snapshot obs1);
   Alcotest.(check (list (pair string int)))

@@ -9,6 +9,7 @@ let () =
       Test_roundtrip.suite;
       Test_iss.suite;
       Test_rtl.suite;
+      Test_settle.suite;
       Test_analysis.suite;
       Test_leon3.suite;
       Test_gatelevel.suite;
@@ -22,4 +23,5 @@ let () =
       Test_workloads.suite;
       Test_diversity.suite;
       Test_report.suite;
-      Test_correlation.suite ]
+      Test_correlation.suite;
+      Test_known.suite ]
